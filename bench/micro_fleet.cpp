@@ -23,6 +23,7 @@
 #include "scorepsim/measurement.hpp"
 #include "scorepsim/profile.hpp"
 #include "scorepsim/profile_delta.hpp"
+#include "support/timer.hpp"
 
 namespace {
 
@@ -173,9 +174,13 @@ void BM_FleetDeltaApply(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetDeltaApply)->Arg(16384)->Arg(65536);
 
-cg::CallGraph fleetGraph() {
+/// main -> kernel, noisy, plus filler callees up to `functions` defined
+/// functions. Only the first three are ever visited, so the filler stays
+/// in the survey policy: the policy is as large as the graph while each
+/// epoch moves only a few entries.
+cg::CallGraph fleetGraph(std::size_t functions) {
     cg::CallGraph graph;
-    auto add = [&](const char* name) {
+    auto add = [&](const std::string& name) {
         cg::FunctionDesc desc;
         desc.name = name;
         desc.prettyName = name;
@@ -185,16 +190,23 @@ cg::CallGraph fleetGraph() {
     const cg::FunctionId mainFn = add("main");
     graph.addCallEdge(mainFn, add("kernel"));
     graph.addCallEdge(mainFn, add("noisy"));
+    for (std::size_t i = 3; i < functions; ++i) {
+        graph.addCallEdge(mainFn, add("filler_" + std::to_string(i)));
+    }
     return graph;
 }
 
 /// End-to-end fleet epoch: N headless clients each extract/encode/send one
 /// delta, the aggregator closes the epoch (merge in client order + model +
-/// plan) and pushes a policy frame back to every client. Items/s is policy
-/// round trips (client-epochs) per second.
+/// plan) and pushes a policy frame back to every client. Args = {clients,
+/// defined functions}. Items/s is policy round trips (client-epochs) per
+/// second; us_per_client is the epoch's wall time per client. Beyond the
+/// once-per-epoch plan, each client should add the same cost at 3,000
+/// functions as at 3: the policy fan-out is O(|delta|) per client.
 void BM_FleetEpochPipeline(benchmark::State& state) {
     const auto clientCount = static_cast<std::size_t>(state.range(0));
-    const cg::CallGraph graph = fleetGraph();
+    const cg::CallGraph graph =
+        fleetGraph(static_cast<std::size_t>(state.range(1)));
 
     fleet::AggregatorOptions options;
     options.config.perEventCostNs = 100.0;
@@ -211,8 +223,10 @@ void BM_FleetEpochPipeline(benchmark::State& state) {
     }
 
     std::uint64_t epoch = 0;
+    std::uint64_t epochNs = 0;
     for (auto _ : state) {
         ++epoch;
+        const std::uint64_t start = support::nowNs();
         for (std::size_t i = 0; i < clientCount; ++i) {
             scorep::Measurement& measurement = *measurements[i];
             scorep::ProfileTree profile;
@@ -234,6 +248,7 @@ void BM_FleetEpochPipeline(benchmark::State& state) {
         for (auto& client : clients) {
             client->awaitPolicy();
         }
+        epochNs += support::nowNs() - start;
     }
 
     state.SetItemsProcessed(state.iterations() *
@@ -242,8 +257,14 @@ void BM_FleetEpochPipeline(benchmark::State& state) {
     state.counters["bytes_in_per_frame"] =
         static_cast<double>(stats.bytesIn) /
         static_cast<double>(std::max<std::uint64_t>(1, stats.framesMerged));
+    state.counters["us_per_client"] =
+        static_cast<double>(epochNs) * 1e-3 /
+        static_cast<double>(std::max<std::uint64_t>(1, epoch) * clientCount);
+    state.counters["policy_size"] =
+        static_cast<double>(aggregator.convergedPolicy().size());
 }
-BENCHMARK(BM_FleetEpochPipeline)->Arg(8)->Arg(64)->Arg(256);
+BENCHMARK(BM_FleetEpochPipeline)
+    ->ArgsProduct({{8, 64, 256}, {3, 3000}});
 
 }  // namespace
 

@@ -6,6 +6,8 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -488,11 +490,13 @@ select::InstrumentationConfig surveyOfDefinedFunctions(
     const cg::CallGraph& graph) {
     select::InstrumentationConfig ic;
     ic.specName = "survey";
+    std::vector<std::string> names;
     for (cg::FunctionId id = 0; id < graph.size(); ++id) {
         if (graph.desc(id).flags.hasBody) {
-            ic.addFunction(graph.name(id));
+            names.push_back(graph.name(id));
         }
     }
+    ic.assignFunctions(std::move(names));
     return ic;
 }
 

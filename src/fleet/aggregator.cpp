@@ -41,6 +41,14 @@ const FleetSpanNames& fleetSpanNames() {
     return names;
 }
 
+/// The diff base of a client that has received nothing yet, and of every
+/// baseline frame.
+const std::shared_ptr<const select::InstrumentationPolicy>& emptyPolicy() {
+    static const auto empty =
+        std::make_shared<const select::InstrumentationPolicy>();
+    return empty;
+}
+
 }  // namespace
 
 Aggregator::Aggregator(const cg::CallGraph& graph,
@@ -56,7 +64,8 @@ Aggregator::Aggregator(const cg::CallGraph& graph,
     // The fleet converges from the same starting point every client's
     // controller starts from: the survey policy, fully instrumented.
     currentIc_ = surveyIc_;
-    currentPolicy_ = select::InstrumentationPolicy::fullOf(currentIc_);
+    setConverged(select::InstrumentationPolicy::fullOf(currentIc_));
+    surveyFingerprint_ = convergedFingerprint_;
 
     static std::atomic<std::uint64_t> nextSeq{0};
     const std::uint64_t seq = nextSeq.fetch_add(1, std::memory_order_relaxed);
@@ -75,18 +84,13 @@ Aggregator::Aggregator(const cg::CallGraph& graph,
             const std::string base = "{agg=\"" + std::to_string(seq) + "\"}";
             auto counter = [&out, &base](const char* name,
                                          std::uint64_t value) {
-                obs::Sample s;
-                s.name = std::string(name) + base;
-                s.kind = obs::MetricKind::Counter;
-                s.value = static_cast<double>(value);
-                out.push_back(std::move(s));
+                out.emplace_back(std::string(name) + base,
+                                 obs::MetricKind::Counter,
+                                 static_cast<double>(value));
             };
             auto gauge = [&out, &base](const char* name, double value) {
-                obs::Sample s;
-                s.name = std::string(name) + base;
-                s.kind = obs::MetricKind::Gauge;
-                s.value = value;
-                out.push_back(std::move(s));
+                out.emplace_back(std::string(name) + base,
+                                 obs::MetricKind::Gauge, value);
             };
             counter("capi_fleet_frames_merged_total", snapshot.framesMerged);
             counter("capi_fleet_bytes_in_total", snapshot.bytesIn);
@@ -94,6 +98,8 @@ Aggregator::Aggregator(const cg::CallGraph& graph,
             counter("capi_fleet_epochs_total", epochs);
             counter("capi_fleet_decode_errors_total", snapshot.decodeErrors);
             counter("capi_fleet_resyncs_total", snapshot.resyncs);
+            counter("capi_fleet_policy_frames_shared_total",
+                    snapshot.sharedPolicyFrames);
             counter("capi_fleet_backpressure_stalls_total", queue.stalls);
             counter("capi_fleet_dropped_deltas_total", queue.rejected);
             counter("capi_fleet_timeout_epochs_total", snapshot.timeoutEpochs);
@@ -121,9 +127,7 @@ Aggregator::Aggregator(const cg::CallGraph& graph,
 
 void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
     // Construction is single-threaded; no lock needed.
-    const std::uint64_t expectedSurvey =
-        select::InstrumentationPolicy::fullOf(surveyIc_).fingerprint();
-    if (snap.surveyFingerprint != expectedSurvey) {
+    if (snap.surveyFingerprint != surveyFingerprint_) {
         throw WireError("snapshot was taken against a different survey");
     }
 
@@ -136,8 +140,8 @@ void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
     lastRatio_ = snap.lastRatio;
     lastBudgetNs_ = snap.lastBudgetNs;
     lastWithinBudget_ = snap.lastWithinBudget;
-    currentPolicy_ = snap.currentPolicy;
-    currentIc_ = currentPolicy_.patchSet();
+    setConverged(snap.currentPolicy);
+    currentIc_ = converged_->patchSet();
 
     regionNames_ = snap.regionNames;
     for (std::size_t i = 0; i < regionNames_.size(); ++i) {
@@ -169,6 +173,10 @@ void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
     }
     model_.restoreState(snap.model);
 
+    // Diff bases are shared again: a client on the converged version points
+    // at it, and any other version is materialized once per fingerprint.
+    std::map<std::uint64_t, std::shared_ptr<const select::InstrumentationPolicy>>
+        versions{{convergedFingerprint_, converged_}};
     for (const SnapshotClient& sc : snap.clients) {
         ClientState state;
         state.id = sc.id;
@@ -182,7 +190,14 @@ void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
         }
         state.runtimeAckedNs = sc.runtimeAckedNs;
         state.epochsAcked = sc.epochsAcked;
-        state.lastSentPolicy = sc.lastSentPolicy;
+        state.lastSentFingerprint = sc.lastSentPolicy.fingerprint();
+        auto [version, fresh] = versions.try_emplace(state.lastSentFingerprint);
+        if (fresh) {
+            version->second =
+                std::make_shared<const select::InstrumentationPolicy>(
+                    sc.lastSentPolicy);
+        }
+        state.lastSent = version->second;
         state.needsBaseline = sc.needsBaseline;
         state.evicted = sc.evicted;
         state.missedEpochs = sc.missedEpochs;
@@ -217,19 +232,18 @@ Aggregator::Session Aggregator::connect() {
     state.id = nextClientId_++;
     state.policyChannel = std::make_unique<Channel>(options_.policyQueueCapacity);
     state.idMap.push_back(static_cast<std::uint32_t>(fleetTree_.root()));
+    state.lastSent = emptyPolicy();
+    state.lastSentFingerprint = emptyPolicy()->fingerprint();
     state.needsBaseline = true;
     auto [it, inserted] = clients_.emplace(state.id, std::move(state));
     ++stats_.clientsConnected;
     // Late-joiner catch-up, half one: a full-policy baseline so the client
     // converges onto the fleet's current policy before its first epoch.
-    PolicyFrame base;
-    base.epoch = epochsCompleted_;
-    base.fingerprint = currentPolicy_.fingerprint();
-    base.measuredOverheadRatio = lastRatio_;
-    base.budgetNs = lastBudgetNs_;
-    base.withinBudget = lastWithinBudget_;
-    sendPolicyTo(it->second, base);
-    return Session{it->first, it->second.policyChannel.get()};
+    sendPolicyTo(it->second);
+    Session session;
+    session.clientId = it->first;
+    session.policyChannel = it->second.policyChannel.get();
+    return session;
 }
 
 Aggregator::Session Aggregator::resume(std::uint64_t clientId) {
@@ -271,7 +285,7 @@ Aggregator::Session Aggregator::resume(std::uint64_t clientId) {
     }
     session.resume.runtimeNs = client.runtimeAckedNs;
     session.resume.coveredEpochs = client.epochsAcked;
-    session.resume.lastPolicyFingerprint = client.lastSentPolicy.fingerprint();
+    session.resume.lastPolicyFingerprint = client.lastSentFingerprint;
     session.resume.incarnation = incarnation_;
     return session;
 }
@@ -307,9 +321,8 @@ std::vector<std::uint8_t> Aggregator::checkpointLocked() {
     snap.lastRatio = lastRatio_;
     snap.lastBudgetNs = lastBudgetNs_;
     snap.lastWithinBudget = lastWithinBudget_;
-    snap.surveyFingerprint =
-        select::InstrumentationPolicy::fullOf(surveyIc_).fingerprint();
-    snap.currentPolicy = currentPolicy_;
+    snap.surveyFingerprint = surveyFingerprint_;
+    snap.currentPolicy = *converged_;
     snap.regionNames = regionNames_;
     const scorep::ProfileTree& tree = fleetTree_;
     for (std::size_t i = 1; i < tree.nodeCount(); ++i) {
@@ -332,7 +345,7 @@ std::vector<std::uint8_t> Aggregator::checkpointLocked() {
                                   client.suppressedAcked.end());
         sc.runtimeAckedNs = client.runtimeAckedNs;
         sc.epochsAcked = client.epochsAcked;
-        sc.lastSentPolicy = client.lastSentPolicy;
+        sc.lastSentPolicy = *client.lastSent;
         // Pending frames re-encode to their exact original bytes: the codec
         // is canonical, so decode-then-encode is the identity.
         for (const DeltaFrame& frame : client.pending) {
@@ -469,13 +482,7 @@ void Aggregator::handleFrame(const std::vector<std::uint8_t>& bytes) {
                 it->second.needsBaseline = true;
                 // Answer immediately — the client is blocked waiting for a
                 // baseline, not for the next epoch.
-                PolicyFrame base;
-                base.epoch = epochsCompleted_;
-                base.fingerprint = currentPolicy_.fingerprint();
-                base.measuredOverheadRatio = lastRatio_;
-                base.budgetNs = lastBudgetNs_;
-                base.withinBudget = lastWithinBudget_;
-                sendPolicyTo(it->second, base);
+                sendPolicyTo(it->second);
                 return;
             }
             case FrameType::Bye: {
@@ -576,7 +583,11 @@ void Aggregator::closeEpoch(bool timedOut) {
     std::size_t divergent = 0;
     select::PolicyDelta divergenceDiag;
     std::map<std::string, std::uint64_t> suppressedByName;
-    const std::uint64_t reducerFingerprint = currentPolicy_.fingerprint();
+    // The version every on-chain client holds: the diff base of this
+    // epoch's shared broadcast frame.
+    const std::shared_ptr<const select::InstrumentationPolicy> previous =
+        converged_;
+    const std::uint64_t previousFingerprint = convergedFingerprint_;
     std::size_t framesMerged = 0;
     for (auto& [id, client] : clients_) {
         if (client.pending.empty()) {
@@ -590,15 +601,13 @@ void Aggregator::closeEpoch(bool timedOut) {
         }
         scorep::applyCctDelta(remapped, fleetTree_, client.idMap);
         worldRuntimeNs += frame.runtimeNs;
-        if (frame.policyFingerprint != reducerFingerprint) {
+        if (frame.policyFingerprint != previousFingerprint) {
             ++divergent;
             // Diagnosis, not just a count: when the client measured under
             // exactly the policy we last managed to deliver to it (the
             // lagging case), the region-level gap is reconstructible.
-            if (frame.policyFingerprint ==
-                client.lastSentPolicy.fingerprint()) {
-                divergenceDiag =
-                    select::policyDiff(client.lastSentPolicy, currentPolicy_);
+            if (frame.policyFingerprint == client.lastSentFingerprint) {
+                divergenceDiag = select::policyDiff(*client.lastSent, *previous);
             }
         }
         for (const SuppressedDelta& entry : frame.suppressed) {
@@ -689,13 +698,13 @@ void Aggregator::closeEpoch(bool timedOut) {
             keepIc.addFunction(name);
         }
         budgetNs = options_.config.budgetFraction * worldRuntimeNs;
-        currentPolicy_ = select::InstrumentationPolicy::fullOf(keepIc);
-        currentIc_ = currentPolicy_.patchSet();
+        setConverged(select::InstrumentationPolicy::fullOf(keepIc));
+        currentIc_ = converged_->patchSet();
     } else {
         adapt::PlanResult plan =
             planner_.plan(surveyIc_, model_, options_.config);
         budgetNs = plan.budgetNs;
-        currentPolicy_ = std::move(plan.policy);
+        setConverged(std::move(plan.policy));
         currentIc_ = std::move(plan.ic);
     }
     planSpan.setArg(currentIc_.size());
@@ -707,19 +716,17 @@ void Aggregator::closeEpoch(bool timedOut) {
     lastBudgetNs_ = budgetNs;
     lastWithinBudget_ = within;
 
-    // 4. Broadcast the converged policy: per-client deltas against what each
-    // client last received, baselines for fresh or resyncing clients.
-    // Evicted clients are skipped (their frozen lastSentPolicy keeps the
-    // diff chain anchored at what they actually have); Lagging clients get a
-    // best-effort trySend — a stalled client's full queue must never block
-    // the epoch pipeline for everyone else.
+    // 4. Broadcast the converged policy at the cost of the change: the
+    // previous -> new diff is encoded once, and every client still chained
+    // to the previous version gets those bytes. Off-chain clients (fresh,
+    // resyncing, lagging, resumed, restored) get a per-client diff from the
+    // version they hold, or a baseline. Evicted clients are skipped (their
+    // frozen diff base keeps the chain anchored at what they actually
+    // have); Lagging clients get a best-effort trySend — a stalled client's
+    // full queue must never block the epoch pipeline for everyone else.
     obs::ScopedSpan broadcastSpan(spans.broadcast, obs::SpanCategory::Fleet);
-    PolicyFrame base;
-    base.epoch = epochsCompleted_;
-    base.fingerprint = currentPolicy_.fingerprint();
-    base.measuredOverheadRatio = ratio;
-    base.budgetNs = budgetNs;
-    base.withinBudget = within;
+    const std::vector<std::uint8_t> shared =
+        encodePolicyFrom(previous.get(), previousFingerprint);
     std::size_t framesOut = 0;
     for (auto& [id, client] : clients_) {
         if (client.evicted) {
@@ -727,7 +734,14 @@ void Aggregator::closeEpoch(bool timedOut) {
         }
         const bool lagging =
             std::binary_search(missedIds.begin(), missedIds.end(), id);
-        sendPolicyTo(client, base, /*blocking=*/!lagging);
+        if (!client.needsBaseline &&
+            client.lastSentFingerprint == previousFingerprint) {
+            if (deliverPolicy(client, shared, /*blocking=*/!lagging)) {
+                ++stats_.sharedPolicyFrames;
+            }
+        } else {
+            sendPolicyTo(client, /*blocking=*/!lagging);
+        }
         ++framesOut;
     }
     broadcastSpan.setArg(framesOut);
@@ -743,36 +757,69 @@ void Aggregator::closeEpoch(bool timedOut) {
     epochOpenedAtNs_ = anyPending ? support::nowNs() : 0;
 }
 
-void Aggregator::sendPolicyTo(ClientState& client, const PolicyFrame& base,
-                              bool blocking) {
-    PolicyFrame frame = base;
+void Aggregator::setConverged(select::InstrumentationPolicy policy) {
+    convergedFingerprint_ = policy.fingerprint();
+    converged_ =
+        std::make_shared<const select::InstrumentationPolicy>(std::move(policy));
+}
+
+std::vector<std::uint8_t> Aggregator::encodePolicyFrom(
+    const select::InstrumentationPolicy* from,
+    std::uint64_t fromFingerprint) const {
+    const select::InstrumentationPolicy& to = *converged_;
+    PolicyFrame frame;
+    frame.epoch = epochsCompleted_;
     frame.incarnation = incarnation_;
-    if (client.needsBaseline) {
-        frame.baseline = true;
-        frame.prevFingerprint = 0;
-        for (std::size_t i = 0; i < currentPolicy_.functions.size(); ++i) {
-            frame.upserts.push_back(PolicyFrameEntry{
-                currentPolicy_.functions[i], currentPolicy_.regions[i]});
-        }
+    frame.fingerprint = convergedFingerprint_;
+    frame.measuredOverheadRatio = lastRatio_;
+    frame.budgetNs = lastBudgetNs_;
+    frame.withinBudget = lastWithinBudget_;
+    if (from == nullptr) {
+        frame.baseline = true;  // the diff from nothing: every entry
+        from = emptyPolicy().get();
     } else {
-        frame.baseline = false;
-        frame.prevFingerprint = client.lastSentPolicy.fingerprint();
-        for (std::size_t i = 0; i < currentPolicy_.functions.size(); ++i) {
-            const std::string& name = currentPolicy_.functions[i];
-            const select::RegionPolicy* before =
-                client.lastSentPolicy.policyOf(name);
-            if (before == nullptr || *before != currentPolicy_.regions[i]) {
+        frame.prevFingerprint = fromFingerprint;
+    }
+    // One merge pass over the two sorted name lists: upserts come out in
+    // `to` order and removals in `from` order, the canonical frame layout.
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < from->size() || j < to.size()) {
+        const int order =
+            i == from->size() ? 1
+            : j == to.size()  ? -1
+                              : from->functions[i].compare(to.functions[j]);
+        if (order < 0) {
+            frame.removed.push_back(from->functions[i]);
+            ++i;
+        } else if (order > 0) {
+            frame.upserts.push_back(
+                PolicyFrameEntry{to.functions[j], to.regions[j]});
+            ++j;
+        } else {
+            if (from->regions[i] != to.regions[j]) {
                 frame.upserts.push_back(
-                    PolicyFrameEntry{name, currentPolicy_.regions[i]});
+                    PolicyFrameEntry{to.functions[j], to.regions[j]});
             }
-        }
-        for (const std::string& name : client.lastSentPolicy.functions) {
-            if (!currentPolicy_.contains(name)) {
-                frame.removed.push_back(name);
-            }
+            ++i;
+            ++j;
         }
     }
-    std::vector<std::uint8_t> bytes = encodePolicyFrame(frame);
+    return encodePolicyFrame(frame);
+}
+
+void Aggregator::sendPolicyTo(ClientState& client, bool blocking) {
+    deliverPolicy(client,
+                  client.needsBaseline
+                      ? encodePolicyFrom(nullptr, 0)
+                      : encodePolicyFrom(client.lastSent.get(),
+                                         client.lastSentFingerprint),
+                  blocking);
+}
+
+bool Aggregator::deliverPolicy(ClientState& client,
+                               std::vector<std::uint8_t> bytes,
+                               bool blocking) {
     const std::size_t byteCount = bytes.size();
     const SendResult result = blocking
                                   ? client.policyChannel->send(std::move(bytes))
@@ -784,11 +831,15 @@ void Aggregator::sendPolicyTo(ClientState& client, const PolicyFrame& base,
         // The diff base only advances when the frame actually landed — a
         // refused frame leaves the chain anchored at what the client has,
         // so the NEXT delivered update still chains cleanly (no resync).
-        client.lastSentPolicy = currentPolicy_;
+        client.lastSent = converged_;
+        client.lastSentFingerprint = convergedFingerprint_;
         client.needsBaseline = false;
-    } else if (result == SendResult::Backpressure) {
+        return true;
+    }
+    if (result == SendResult::Backpressure) {
         ++stats_.laggingPolicyDrops;
     }
+    return false;
 }
 
 void Aggregator::mirrorKillSwitch(double measuredRatio, bool withinBudget) {
@@ -931,12 +982,12 @@ select::PolicyDelta Aggregator::lastDivergence() const {
 
 std::uint64_t Aggregator::convergedFingerprint() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return currentPolicy_.fingerprint();
+    return convergedFingerprint_;
 }
 
 select::InstrumentationPolicy Aggregator::convergedPolicy() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return currentPolicy_;
+    return *converged_;
 }
 
 scorep::ProfileTree Aggregator::fleetProfile() const {

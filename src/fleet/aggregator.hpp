@@ -15,12 +15,18 @@
 //   2. observes the per-epoch region totals (the cumulative fleet totals
 //      differenced against the last epoch's snapshot) into the model by
 //      NAME — see OverheadModel::observeEpoch(byName),
-//   3. replans over the survey candidates and diffs against the previous
-//      converged policy,
-//   4. broadcasts: clients that saw the previous policy get upserts +
-//      removals; fresh or resyncing clients get a full baseline. A client
-//      whose fingerprint chain breaks asks for a resync instead of running
-//      diverged (fleet/client.hpp).
+//   3. replans over the survey candidates into a new immutable converged
+//      policy version, fingerprinted once,
+//   4. broadcasts at the cost of the change, not of the policy: the
+//      previous -> new diff is taken ONCE (one linear merge of the two
+//      sorted lists) and encoded once, and every client whose last-sent
+//      fingerprint is the previous converged one gets those same bytes.
+//      Only off-chain clients — fresh, resyncing, lagging (a refused
+//      trySend), resumed or restored — get a per-client frame: a diff from
+//      the version they last received, or a full baseline. Clients hold a
+//      pointer to that version, never a copy. A client whose fingerprint
+//      chain breaks asks for a resync instead of running diverged
+//      (fleet/client.hpp).
 //
 // Determinism: given the same per-client epoch streams, the converged
 // policy fingerprints are bit-identical to a Controller::epochAllRanks
@@ -102,6 +108,9 @@ struct AggregatorStats {
     std::uint64_t bytesIn = 0;
     std::uint64_t bytesOut = 0;     ///< Policy frames, encoded size.
     std::uint64_t policyFramesSent = 0;
+    /// Policy frames that were the epoch's shared update bytes (the rest
+    /// were per-client diffs or baselines). Lockstep: clients x epochs.
+    std::uint64_t sharedPolicyFrames = 0;
     std::uint64_t epochsCompleted = 0;
     std::uint64_t decodeErrors = 0;  ///< WireError frames dropped at the door.
     std::uint64_t resyncs = 0;
@@ -237,9 +246,11 @@ private:
         /// Client region handle -> fleet region handle.
         std::vector<scorep::RegionHandle> regionMap;
         std::deque<DeltaFrame> pending;
-        /// The policy this client last received, the diff base for the next
-        /// policy frame. A broken chain (resync) falls back to a baseline.
-        select::InstrumentationPolicy lastSentPolicy;
+        /// The converged version this client last received — the diff base
+        /// for its next policy frame — shared, never copied; plus its
+        /// fingerprint. A broken chain (resync) falls back to a baseline.
+        std::shared_ptr<const select::InstrumentationPolicy> lastSent;
+        std::uint64_t lastSentFingerprint = 0;
         bool needsBaseline = false;
         // --- acked session state, updated at INGEST (not merge) so a
         // checkpoint that also carries the pending queue is self-consistent,
@@ -264,11 +275,25 @@ private:
     /// timeout, and quorum is met.
     bool timeoutClosable(std::uint64_t nowNs) const;
     void closeEpoch(bool timedOut);
+    /// Installs `policy` as the new converged version and fingerprints it.
+    void setConverged(select::InstrumentationPolicy policy);
+    /// Encodes the frame that moves a holder of `from` onto the converged
+    /// policy: an update diffed by one linear merge of the two sorted lists,
+    /// or a full baseline when `from` is null. The epoch's shared frame and
+    /// every per-client frame are encoded here.
+    std::vector<std::uint8_t> encodePolicyFrom(
+        const select::InstrumentationPolicy* from,
+        std::uint64_t fromFingerprint) const;
+    /// The per-client path: a baseline when the client needs one, else a
+    /// diff from the version it last received.
+    void sendPolicyTo(ClientState& client, bool blocking = true);
+    /// Queues `bytes` (a frame onto the converged policy) on the client's
+    /// channel and, only when it lands, advances the client's diff base.
     /// blocking=false is the Lagging-client path: trySend, and on refusal
     /// leave the diff chain anchored (never block the epoch pipeline on a
     /// stalled client's full queue).
-    void sendPolicyTo(ClientState& client, const PolicyFrame& base,
-                      bool blocking = true);
+    bool deliverPolicy(ClientState& client, std::vector<std::uint8_t> bytes,
+                       bool blocking);
     scorep::RegionHandle fleetHandleFor(ClientState& client,
                                         std::uint32_t clientHandle);
     void mirrorKillSwitch(double measuredRatio, bool withinBudget);
@@ -302,7 +327,11 @@ private:
     adapt::BudgetPlanner planner_;
     select::InstrumentationConfig surveyIc_;
     select::InstrumentationConfig currentIc_;
-    select::InstrumentationPolicy currentPolicy_;
+    /// The converged policy: one immutable version per epoch, shared with
+    /// every client it was delivered to, fingerprinted once.
+    std::shared_ptr<const select::InstrumentationPolicy> converged_;
+    std::uint64_t convergedFingerprint_ = 0;
+    std::uint64_t surveyFingerprint_ = 0;
     std::uint64_t epochsCompleted_ = 0;
     std::uint64_t incarnation_ = 1;
     /// nowNs() when the open epoch's first delta was ingested; 0 = no epoch

@@ -235,7 +235,7 @@ adapt::EpochReport FleetClient::awaitPolicy() {
         }
         obs::ScopedSpan adoptSpan(spans.adopt, obs::SpanCategory::Fleet);
         adoptFrame(frame);
-        if (policy_.fingerprint() != frame.fingerprint) {
+        if (policyDigest_ != frame.fingerprint) {
             if (frame.baseline) {
                 // A baseline that does not reconstruct is not recoverable
                 // by another resync (static IDs, say, are not carried on
@@ -274,14 +274,42 @@ void FleetClient::adoptFrame(const PolicyFrame& frame) {
             fresh.setRegion(entry.name, entry.policy);
         }
         policy_ = std::move(fresh);
+        policyDigest_ = policy_.fingerprint();
+        fullRegions_ = policy_.countOf(select::Tier::Full);
+        sampledRegions_ = policy_.countOf(select::Tier::Sampled);
         ++stats_.baselinesReceived;
         return;
     }
+    // An update touches only the entries it names: the running digest and
+    // tier counts trade each replaced entry for the new one, O(|delta|).
+    auto tally = [this](const std::string& name,
+                        const select::RegionPolicy* entry, bool add) {
+        if (entry == nullptr) {
+            return;  // Off: not listed, not counted
+        }
+        const std::uint64_t digest =
+            select::InstrumentationPolicy::entryDigest(name, *entry);
+        std::size_t& count =
+            entry->tier == select::Tier::Full ? fullRegions_ : sampledRegions_;
+        if (add) {
+            policyDigest_ += digest;
+            ++count;
+        } else {
+            policyDigest_ -= digest;
+            --count;
+        }
+    };
+    auto replace = [&](const std::string& name,
+                       const select::RegionPolicy& policy) {
+        tally(name, policy_.policyOf(name), false);
+        policy_.setRegion(name, policy);
+        tally(name, policy_.policyOf(name), true);
+    };
     for (const PolicyFrameEntry& entry : frame.upserts) {
-        policy_.setRegion(entry.name, entry.policy);
+        replace(entry.name, entry.policy);
     }
     for (const std::string& name : frame.removed) {
-        policy_.setRegion(name, select::RegionPolicy{});
+        replace(name, select::RegionPolicy{});
     }
 }
 
@@ -395,8 +423,8 @@ adapt::EpochReport FleetClient::reportOf(const PolicyFrame& frame) const {
     report.budgetNs = frame.budgetNs;
     report.policyFingerprint = frame.fingerprint;
     report.icSize = policy_.size();
-    report.fullRegions = policy_.countOf(select::Tier::Full);
-    report.sampledRegions = policy_.countOf(select::Tier::Sampled);
+    report.fullRegions = fullRegions_;
+    report.sampledRegions = sampledRegions_;
     return report;
 }
 

@@ -201,6 +201,14 @@ private:
     std::map<scorep::RegionHandle, std::uint64_t> suppressedShipped_;
 
     select::InstrumentationPolicy policy_;
+    /// Running policy_.fingerprint() and tier counts, kept current by
+    /// adoptFrame() per upsert and removal (recomputed only on a baseline).
+    /// The chain check compares the digest against the frame's advertised
+    /// fingerprint; the epoch report reads the counts.
+    std::uint64_t policyDigest_ = 0;
+    std::size_t fullRegions_ = 0;
+    std::size_t sampledRegions_ = 0;
+    /// Fingerprint of the last policy that passed the chain check.
     std::uint64_t fingerprint_ = 0;
     std::uint64_t incarnation_ = 0;  ///< 0 = no policy frame seen yet.
     bool awaitingBaseline_ = true;

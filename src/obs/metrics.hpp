@@ -42,6 +42,11 @@ enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram };
 /// One exported value at snapshot time. `name` may embed Prometheus labels
 /// (`...{site="x"}`); exporters group families by the name up to the brace.
 struct Sample {
+    Sample() = default;
+    /// A counter or gauge sample (no histogram buckets).
+    Sample(std::string name, MetricKind kind, double value)
+        : name(std::move(name)), kind(kind), value(value) {}
+
     std::string name;
     MetricKind kind = MetricKind::Gauge;
     double value = 0.0;        ///< Counter count / gauge value / histogram sum.

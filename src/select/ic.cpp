@@ -4,12 +4,20 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <utility>
 
 #include "support/error.hpp"
 #include "support/hash.hpp"
 #include "support/strings.hpp"
 
 namespace capi::select {
+
+namespace {
+
+/// Seed of the static-ID terms in InstrumentationPolicy::fingerprint().
+constexpr std::uint64_t kStaticIdSeed = 0x5741'7449'4344'5344ULL;
+
+}  // namespace
 
 bool InstrumentationConfig::contains(const std::string& name) const {
     return std::binary_search(functions.begin(), functions.end(), name);
@@ -20,6 +28,12 @@ void InstrumentationConfig::addFunction(std::string name) {
     if (it == functions.end() || *it != name) {
         functions.insert(it, std::move(name));
     }
+}
+
+void InstrumentationConfig::assignFunctions(std::vector<std::string> names) {
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+    functions = std::move(names);
 }
 
 std::string InstrumentationConfig::toScorePFilter() const {
@@ -231,20 +245,28 @@ InstrumentationConfig InstrumentationPolicy::patchSet() const {
     return ic;
 }
 
+std::uint64_t InstrumentationPolicy::entryDigest(const std::string& name,
+                                                const RegionPolicy& policy) {
+    std::uint64_t entry = support::fnv1a(name);
+    entry = support::hashCombine(entry, static_cast<std::uint64_t>(policy.tier));
+    if (policy.tier == Tier::Sampled) {
+        entry = support::hashCombine(entry, policy.sampling.everyN);
+        entry = support::hashCombine(entry, policy.sampling.minIntervalNs);
+    }
+    return entry;
+}
+
 std::uint64_t InstrumentationPolicy::fingerprint() const {
+    // Unsigned arithmetic wraps, so the sum is order-independent and an
+    // entry's term can be subtracted back out exactly.
     std::uint64_t digest = support::kFnvOffsetBasis;
     for (std::size_t i = 0; i < functions.size(); ++i) {
-        std::uint64_t entry = support::fnv1a(functions[i]);
-        entry = support::hashCombine(entry, static_cast<std::uint64_t>(regions[i].tier));
-        if (regions[i].tier == Tier::Sampled) {
-            entry = support::hashCombine(entry, regions[i].sampling.everyN);
-            entry = support::hashCombine(entry, regions[i].sampling.minIntervalNs);
-        }
-        digest = support::hashCombine(digest, entry);
+        digest += entryDigest(functions[i], regions[i]);
     }
+    // Static IDs hash from a different seed than region names, so a static
+    // ID never aliases a region entry.
     for (const auto& [name, id] : staticIds) {
-        digest = support::hashCombine(digest, support::fnv1a(name));
-        digest = support::hashCombine(digest, id);
+        digest += support::hashCombine(support::fnv1a(name, kStaticIdSeed), id);
     }
     return digest;
 }

@@ -33,6 +33,10 @@ struct InstrumentationConfig {
 
     bool contains(const std::string& name) const;
     void addFunction(std::string name);
+    /// Bulk build: replaces `functions` with `names`, sorted and unique.
+    /// One sort instead of a sorted insertion per name (quadratic for a
+    /// large IC).
+    void assignFunctions(std::vector<std::string> names);
     std::size_t size() const { return functions.size(); }
 
     /// Score-P filter-file format:
@@ -146,10 +150,17 @@ struct InstrumentationPolicy {
     /// Sampled regions keep their sleds; only the measurement gate differs).
     InstrumentationConfig patchSet() const;
 
-    /// Order-independent digest of (name, tier, sampling) triples plus the
-    /// static-ID map; ranks compare these to detect policy divergence
-    /// without shipping whole policies around.
+    /// Order-independent digest: the wrapping sum of entryDigest() over
+    /// every listed region plus one term per static-ID pair. Ranks compare
+    /// these to detect policy divergence without shipping whole policies
+    /// around; because it is a sum, a holder of a running digest keeps it
+    /// current under setRegion() by subtracting the old entry's digest and
+    /// adding the new one — no rehash of the whole policy.
     std::uint64_t fingerprint() const;
+    /// One (name, policy) entry's term in fingerprint(). Sampling only
+    /// counts for Sampled regions, matching RegionPolicy's equality.
+    static std::uint64_t entryDigest(const std::string& name,
+                                     const RegionPolicy& policy);
 
     support::Json toJson() const;
     static InstrumentationPolicy fromJson(const support::Json& doc);

@@ -1,5 +1,9 @@
 #include "select/selection_driver.hpp"
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "spec/parser.hpp"
 #include "support/timer.hpp"
 
@@ -43,8 +47,11 @@ SelectionReport runSelection(const cg::CallGraph& graph,
     report.selectedFinal = selection.count();
 
     report.ic.specName = options.specName;
+    std::vector<std::string> names;
+    names.reserve(report.selectedFinal);
     selection.forEach(
-        [&](cg::FunctionId id) { report.ic.addFunction(graph.name(id)); });
+        [&](cg::FunctionId id) { names.push_back(graph.name(id)); });
+    report.ic.assignFunctions(std::move(names));
 
     report.pipelineRun = std::move(run);
     report.selectionSeconds = timer.elapsedSec();

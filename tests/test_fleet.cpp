@@ -5,17 +5,23 @@
 // property — the fleet path converges on policies and overhead numbers
 // bit-identical to a Controller::epochAllRanks reference run over the same
 // per-rank event streams, including a mid-fleet late joiner — plus a
-// 1000-client drop-and-coalesce soak with exact drop accounting.
+// 1000-client drop-and-coalesce soak with exact drop accounting, and the
+// shared policy broadcast (one encoded update per epoch, per-client frames
+// only for off-chain clients).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,12 +37,14 @@
 #include "fleet/client.hpp"
 #include "fleet/wire.hpp"
 #include "mpisim/mpi_world.hpp"
+#include "obs/metrics.hpp"
 #include "scorepsim/cyg_adapter.hpp"
 #include "scorepsim/measurement.hpp"
 #include "scorepsim/profile.hpp"
 #include "scorepsim/profile_delta.hpp"
 #include "scorepsim/symbol_resolver.hpp"
 #include "support/fault.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -1918,6 +1926,372 @@ TEST_F(FleetFaultTest, FaultStormConvergesToFaultFreeTwin) {
     }
     EXPECT_GT(stalls + drops + deaths, 0u);
     EXPECT_EQ(agg->incarnation(), 2u);  // exactly one crash+restore
+}
+
+// ------------------------------------------------ policy broadcast tests --
+// The converged policy goes out as ONE shared update frame per epoch to
+// every client still chained to the previous version; only off-chain
+// clients (lagging, resyncing, resumed, restored) get a per-client frame.
+
+std::string kernelName(std::size_t k) {
+    char name[16];
+    std::snprintf(name, sizeof name, "k%03zu", k);
+    return name;
+}
+
+/// main -> k000..k<n-1>: a policy wide enough that epochs move some entries
+/// and keep most.
+cg::CallGraph wideGraph(std::size_t kernels) {
+    cg::CallGraph graph;
+    auto add = [&](const std::string& name) {
+        cg::FunctionDesc desc;
+        desc.name = name;
+        desc.prettyName = name;
+        desc.flags.hasBody = true;
+        return graph.addFunction(desc);
+    };
+    const cg::FunctionId mainFn = add("main");
+    for (std::size_t k = 0; k < kernels; ++k) {
+        graph.addCallEdge(mainFn, add(kernelName(k)));
+    }
+    return graph;
+}
+
+/// One epoch of a client's profile over wideGraph: every kernel gets a
+/// seed-drawn visit count and per-visit cost, so the planner's hot set (and
+/// with it Full/Sampled/Off tiers) shifts from epoch to epoch.
+scorep::ProfileTree churnProfile(scorep::Measurement& measurement,
+                                 std::size_t kernels, std::uint64_t seed) {
+    support::SplitMix64 rng(seed);
+    scorep::ProfileTree tree;
+    const std::size_t mainNode =
+        tree.childOf(tree.root(), measurement.defineRegion("main"));
+    std::uint64_t totalNs = 1000;
+    for (std::size_t k = 0; k < kernels; ++k) {
+        constexpr std::uint64_t kVisits[] = {5, 400, 40'000};
+        const std::uint64_t visits = kVisits[rng.nextBelow(3)];
+        const std::uint64_t perVisitNs = rng.nextBool(0.5) ? 40 : 4000;
+        const std::size_t node = tree.childOf(
+            mainNode, measurement.defineRegion(kernelName(k)));
+        tree.node(node).visits += visits;
+        tree.node(node).inclusiveNs += visits * perVisitNs;
+        totalNs += visits * perVisitNs;
+    }
+    tree.node(mainNode).visits += 1;
+    tree.node(mainNode).inclusiveNs += totalNs;
+    return tree;
+}
+
+fleet::AggregatorOptions churnOptions() {
+    fleet::AggregatorOptions options;
+    options.config.perEventCostNs = 100.0;
+    options.config.enableSampledTier = true;
+    return options;
+}
+
+void expectSamePolicy(const select::InstrumentationPolicy& expected,
+                      const select::InstrumentationPolicy& actual) {
+    EXPECT_EQ(actual.functions, expected.functions);
+    ASSERT_EQ(actual.regions.size(), expected.regions.size());
+    for (std::size_t i = 0; i < expected.regions.size(); ++i) {
+        EXPECT_EQ(actual.regions[i], expected.regions[i])
+            << expected.functions[i];
+    }
+}
+
+/// The update an on-chain client must receive, rebuilt independently: the
+/// per-name lookups the per-client path used to do, in canonical order.
+fleet::PolicyFrame referenceUpdate(const fleet::PolicyFrame& header,
+                                   const select::InstrumentationPolicy& from,
+                                   const select::InstrumentationPolicy& to) {
+    fleet::PolicyFrame frame = header;
+    frame.baseline = false;
+    frame.prevFingerprint = from.fingerprint();
+    frame.fingerprint = to.fingerprint();
+    frame.upserts.clear();
+    frame.removed.clear();
+    for (std::size_t i = 0; i < to.functions.size(); ++i) {
+        const select::RegionPolicy* before = from.policyOf(to.functions[i]);
+        if (before == nullptr || *before != to.regions[i]) {
+            frame.upserts.push_back({to.functions[i], to.regions[i]});
+        }
+    }
+    for (const std::string& name : from.functions) {
+        if (!to.contains(name)) {
+            frame.removed.push_back(name);
+        }
+    }
+    return frame;
+}
+
+/// Aborts with a message instead of hanging: a client whose chain breaks
+/// blocks on a resync baseline that a single-threaded driver never pumps.
+class HangGuard {
+public:
+    explicit HangGuard(std::chrono::seconds limit)
+        : thread_([this, limit] {
+              std::unique_lock<std::mutex> lock(mutex_);
+              if (!doneCv_.wait_for(lock, limit, [this] { return done_; })) {
+                  std::fprintf(stderr, "hung: a client is blocked waiting "
+                                       "for a policy frame\n");
+                  std::abort();
+              }
+          }) {}
+    ~HangGuard() {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            done_ = true;
+        }
+        doneCv_.notify_all();
+        thread_.join();
+    }
+
+private:
+    std::mutex mutex_;
+    std::condition_variable doneCv_;
+    bool done_ = false;
+    std::thread thread_;
+};
+
+double exportedSharedFrames() {
+    double value = -1.0;
+    for (const obs::Sample& sample : obs::MetricsRegistry::global().snapshot()) {
+        if (sample.name.rfind("capi_fleet_policy_frames_shared_total", 0) == 0) {
+            EXPECT_EQ(value, -1.0) << "more than one aggregator exported";
+            value = sample.value;
+        }
+    }
+    return value;
+}
+
+// Lockstep: every epoch's update is encoded once and every client gets the
+// same bytes — byte-identical to the reference per-client encoding.
+TEST(FleetBroadcast, SharedUpdateBytesMatchPerClientEncoding) {
+    const HangGuard guard(std::chrono::seconds(60));
+    constexpr std::size_t kKernels = 48;
+    constexpr std::size_t kClients = 4;
+    constexpr std::uint64_t kEpochs = 12;
+    const cg::CallGraph graph = wideGraph(kKernels);
+    fleet::Aggregator aggregator(graph, adapt::surveyOfDefinedFunctions(graph),
+                                 churnOptions());
+
+    std::vector<std::unique_ptr<scorep::Measurement>> measurements;
+    std::vector<std::unique_ptr<fleet::FleetClient>> clients;
+    for (std::size_t i = 0; i < kClients; ++i) {
+        measurements.push_back(std::make_unique<scorep::Measurement>());
+        clients.push_back(std::make_unique<fleet::FleetClient>(aggregator));
+    }
+    // A raw session taps the broadcast bytes: it ships empty deltas so the
+    // epochs still close on it, and reads its channel directly.
+    const fleet::Aggregator::Session tap = aggregator.connect();
+    ASSERT_TRUE(tap.policyChannel->tryReceive().has_value());  // baseline
+
+    std::size_t changedEpochs = 0;
+    for (std::uint64_t epoch = 1; epoch <= kEpochs; ++epoch) {
+        const select::InstrumentationPolicy before =
+            aggregator.convergedPolicy();
+        for (std::size_t i = 0; i < kClients; ++i) {
+            ASSERT_EQ(clients[i]->sendEpoch(
+                          churnProfile(*measurements[i], kKernels,
+                                       epoch * 1000 + i),
+                          *measurements[i], 1e9),
+                      fleet::SendResult::Ok);
+        }
+        fleet::DeltaFrame empty;
+        empty.clientId = tap.clientId;
+        empty.epoch = epoch;
+        empty.cct.baseNodeCount = 1;
+        empty.policyFingerprint = before.fingerprint();
+        ASSERT_EQ(aggregator.dataChannel().send(fleet::encodeDeltaFrame(empty)),
+                  fleet::SendResult::Ok);
+        while (aggregator.epochsCompleted() < epoch) {
+            ASSERT_TRUE(aggregator.pump());
+        }
+
+        const auto bytes = tap.policyChannel->tryReceive();
+        ASSERT_TRUE(bytes.has_value());
+        const fleet::PolicyFrame received = fleet::decodePolicyFrame(*bytes);
+        EXPECT_FALSE(received.baseline);
+        EXPECT_EQ(received.epoch, epoch);
+        const select::InstrumentationPolicy after =
+            aggregator.convergedPolicy();
+        ASSERT_EQ(fleet::encodePolicyFrame(
+                      referenceUpdate(received, before, after)),
+                  *bytes)
+            << "epoch " << epoch;
+        changedEpochs += received.upserts.empty() && received.removed.empty()
+                             ? 0
+                             : 1;
+        for (auto& client : clients) {
+            const adapt::EpochReport report = client->awaitPolicy();
+            EXPECT_EQ(client->policyFingerprint(),
+                      aggregator.convergedFingerprint());
+            // The report's tier counts are kept running, not rescanned.
+            EXPECT_EQ(report.fullRegions, after.countOf(select::Tier::Full));
+            EXPECT_EQ(report.sampledRegions,
+                      after.countOf(select::Tier::Sampled));
+        }
+    }
+    EXPECT_GT(changedEpochs, 1u) << "the policy never moved";
+
+    const fleet::AggregatorStats stats = aggregator.stats();
+    const std::uint64_t sessions = kClients + 1;
+    EXPECT_EQ(stats.sharedPolicyFrames, sessions * kEpochs);
+    EXPECT_EQ(stats.policyFramesSent, sessions * (kEpochs + 1));  // +baselines
+    EXPECT_EQ(stats.resyncs, 0u);
+    EXPECT_EQ(exportedSharedFrames(),
+              static_cast<double>(stats.sharedPolicyFrames));
+    for (const auto& client : clients) {
+        EXPECT_EQ(client->stats().resyncs, 0u);
+        expectSamePolicy(aggregator.convergedPolicy(), client->policy());
+    }
+}
+
+// Every client state at once — lockstep, lagging with refused trySends,
+// resync, resume() and restore from a checkpoint — and every client still
+// lands on convergedPolicy()/convergedFingerprint() with zero chain breaks.
+void runMixedStateSweep(std::uint64_t seed) {
+    constexpr std::size_t kKernels = 48;
+    constexpr std::size_t kClients = 6;
+    constexpr std::uint64_t kEpochs = 14;
+    constexpr std::size_t kLagger = 2;
+    constexpr std::size_t kResyncer = 3;
+    constexpr std::size_t kResumer = 4;
+    constexpr std::uint64_t kResyncAt = 5;
+    constexpr std::uint64_t kResumeAt = 8;
+    constexpr std::uint64_t kRestoreAfter = 11;
+    // Lag windows longer than the policy queue, so some broadcasts to the
+    // lagging client are refused and it comes back off-chain.
+    auto lagging = [](std::uint64_t epoch) {
+        return (epoch >= 3 && epoch <= 6) || (epoch >= 9 && epoch <= 11);
+    };
+
+    const cg::CallGraph graph = wideGraph(kKernels);
+    const select::InstrumentationConfig survey =
+        adapt::surveyOfDefinedFunctions(graph);
+    fleet::AggregatorOptions options = churnOptions();
+    options.policyQueueCapacity = 2;
+    options.epochPolicy.timeoutNs = 1'000'000;
+    options.epochPolicy.quorum = 1;
+    options.epochPolicy.graceEpochs = 0;  // lag forever, never evict
+    auto agg = std::make_unique<fleet::Aggregator>(graph, survey, options);
+
+    std::vector<std::unique_ptr<scorep::Measurement>> measurements;
+    std::vector<std::unique_ptr<fleet::FleetClient>> clients;
+    for (std::size_t i = 0; i < kClients; ++i) {
+        measurements.push_back(std::make_unique<scorep::Measurement>());
+        clients.push_back(std::make_unique<fleet::FleetClient>(*agg));
+    }
+    // Frames queued for the lagging client while it was away.
+    std::size_t laggerBacklog = 0;
+    auto drainLagger = [&] {
+        for (; laggerBacklog > 0; --laggerBacklog) {
+            clients[kLagger]->awaitPolicy();
+        }
+    };
+
+    std::set<std::uint64_t> fingerprints;
+    std::size_t tierFlips = 0;
+    std::uint64_t refusedBeforeRestore = 0;
+    for (std::uint64_t epoch = 1; epoch <= kEpochs; ++epoch) {
+        const select::InstrumentationPolicy before = agg->convergedPolicy();
+        if (!lagging(epoch)) {
+            drainLagger();
+        }
+        if (epoch == kResyncAt) {
+            ASSERT_EQ(agg->dataChannel().send(fleet::encodeControlFrame(
+                          fleet::FrameType::Resync,
+                          clients[kResyncer]->clientId())),
+                      fleet::SendResult::Ok);
+        }
+        for (std::size_t i = 0; i < kClients; ++i) {
+            if (i == kLagger && lagging(epoch)) {
+                continue;
+            }
+            ASSERT_EQ(clients[i]->sendEpoch(
+                          churnProfile(*measurements[i], kKernels,
+                                       support::hashCombine(seed,
+                                                            epoch * 64 + i)),
+                          *measurements[i], 1e9),
+                      fleet::SendResult::Ok);
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (agg->epochsCompleted() < epoch) {
+            agg->pump();
+            ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+                << "epoch " << epoch << " never closed";
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+        ASSERT_EQ(agg->epochsCompleted(), epoch);
+        for (std::size_t i = 0; i < kClients; ++i) {
+            if (i == kLagger && lagging(epoch)) {
+                laggerBacklog =
+                    std::min(laggerBacklog + 1, options.policyQueueCapacity);
+                continue;
+            }
+            if (i == kResyncer && epoch == kResyncAt) {
+                clients[i]->awaitPolicy();  // the immediate baseline
+            }
+            clients[i]->awaitPolicy();
+            EXPECT_EQ(clients[i]->policyFingerprint(),
+                      agg->convergedFingerprint())
+                << "seed " << seed << " epoch " << epoch << " client " << i;
+        }
+        const select::InstrumentationPolicy after = agg->convergedPolicy();
+        fingerprints.insert(after.fingerprint());
+        const select::PolicyDelta moved = select::policyDiff(before, after);
+        tierFlips += moved.promoted.size() + moved.demoted.size();
+
+        if (epoch == kResumeAt) {
+            ASSERT_TRUE(clients[kResumer]->reconnect(*agg));
+        }
+        if (epoch == kRestoreAfter) {
+            // The lagging client catches up on what was queued but stays
+            // behind the refused broadcast: it resumes off-chain.
+            drainLagger();
+            refusedBeforeRestore = agg->stats().laggingPolicyDrops;
+            const fleet::AggregatorStats stats = agg->stats();
+            EXPECT_GT(stats.policyFramesSent,
+                      stats.sharedPolicyFrames + kClients)
+                << "no per-client frame beyond the connect baselines";
+            const std::vector<std::uint8_t> snapshot = agg->checkpoint();
+            agg = std::make_unique<fleet::Aggregator>(graph, survey, snapshot,
+                                                      options);
+            for (auto& client : clients) {
+                ASSERT_TRUE(client->reconnect(*agg));
+            }
+        }
+    }
+
+    EXPECT_EQ(refusedBeforeRestore, 3u);  // epochs 5, 6 and 11
+    EXPECT_GE(fingerprints.size(), 3u) << "the policy barely moved";
+    EXPECT_GT(tierFlips, 0u) << "no Full<->Sampled flip was broadcast";
+    const fleet::AggregatorStats stats = agg->stats();
+    EXPECT_GT(stats.sharedPolicyFrames, 0u);
+    EXPECT_EQ(stats.resyncs, 0u);  // the restored incarnation saw none
+    const select::InstrumentationPolicy converged = agg->convergedPolicy();
+    for (std::size_t i = 0; i < kClients; ++i) {
+        EXPECT_EQ(clients[i]->stats().resyncs, 0u) << "client " << i;
+        EXPECT_EQ(clients[i]->policyFingerprint(), agg->convergedFingerprint())
+            << "client " << i;
+        expectSamePolicy(converged, clients[i]->policy());
+        EXPECT_EQ(clients[i]->lastReport().fullRegions,
+                  converged.countOf(select::Tier::Full));
+        EXPECT_EQ(clients[i]->lastReport().sampledRegions,
+                  converged.countOf(select::Tier::Sampled));
+    }
+}
+
+TEST(FleetBroadcast, MixedClientStatesAllConvergeWithoutResync) {
+    const HangGuard guard(std::chrono::seconds(60));
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(seed);
+        runMixedStateSweep(seed ^ envFaultSeed());
+        if (HasFatalFailure()) {
+            return;
+        }
+    }
 }
 
 }  // namespace

@@ -1,11 +1,18 @@
-// Tests for the instrumentation-configuration container and file formats.
+// Tests for the instrumentation-configuration container and file formats,
+// the IC a selection run builds, and the tiered policy's fingerprint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
+#include "cg/call_graph.hpp"
 #include "select/ic.hpp"
+#include "select/selection_driver.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -29,6 +36,11 @@ TEST(Ic, FunctionsStaySortedAndUnique) {
     EXPECT_EQ(ic.functions.front(), "Amul");
     EXPECT_TRUE(ic.contains("Amul"));
     EXPECT_FALSE(ic.contains("amul"));
+
+    InstrumentationConfig bulk;
+    bulk.assignFunctions({"zeta", "Amul", "beta", "Amul", "alpha"});
+    EXPECT_EQ(bulk.functions,
+              (std::vector<std::string>{"Amul", "alpha", "beta", "zeta"}));
 }
 
 TEST(Ic, ScorePFilterRoundTrip) {
@@ -92,6 +104,38 @@ TEST(Ic, FileRoundTripDetectsFormat) {
 
     std::remove(jsonPath.c_str());
     std::remove(filterPath.c_str());
+}
+
+TEST(Ic, SelectionBuildsSortedUniqueNameList) {
+    // Ids are assigned in insertion order, which is deliberately not name
+    // order, so the IC must come out sorted regardless of id order.
+    capi::cg::CallGraph graph;
+    const std::vector<std::string> names = {"zeta", "alpha", "mu", "beta",
+                                            "omega", "MPI_Send", "kappa"};
+    std::vector<std::string> expected;
+    for (const std::string& name : names) {
+        capi::cg::FunctionDesc desc;
+        desc.name = name;
+        desc.prettyName = name;
+        desc.flags.hasBody = name != "MPI_Send";  // a declaration-only node
+        graph.addFunction(desc);
+        if (desc.flags.hasBody) {
+            expected.push_back(name);
+        }
+    }
+    std::sort(expected.begin(), expected.end());
+
+    capi::select::SelectionOptions options;
+    options.specText = "join(%%)";
+    options.specName = "all";
+    const capi::select::SelectionReport report =
+        capi::select::runSelection(graph, options);
+    EXPECT_EQ(report.ic.functions, expected);
+    EXPECT_EQ(report.ic.specName, "all");
+    EXPECT_EQ(report.selectedFinal, expected.size());
+    for (const std::string& name : expected) {
+        EXPECT_TRUE(report.ic.contains(name)) << name;
+    }
 }
 
 TEST(Ic, ReadMissingFileThrows) {
@@ -205,6 +249,79 @@ TEST(Policy, FingerprintTracksTierAndSpecChanges) {
     InstrumentationPolicy regated = samplePolicy();
     regated.setRegion("CalcHourglassControlForElems", {Tier::Sampled, {8, 500}});
     EXPECT_NE(regated.fingerprint(), base);
+
+    // Static IDs count too, and never alias a region entry.
+    InstrumentationPolicy withIds = samplePolicy();
+    withIds.staticIds["Amul"] = 7;
+    EXPECT_NE(withIds.fingerprint(), base);
+}
+
+TEST(Policy, FingerprintIsASumOfEntryDigests) {
+    const InstrumentationPolicy policy = samplePolicy();
+    InstrumentationPolicy grown = policy;
+    const RegionPolicy added{Tier::Sampled, {16, 0}};
+    grown.setRegion("MPI_Allreduce", added);
+    EXPECT_EQ(grown.fingerprint() - policy.fingerprint(),
+              InstrumentationPolicy::entryDigest("MPI_Allreduce", added));
+
+    // A Full entry's digest ignores the (meaningless) sampling spec, as
+    // RegionPolicy's equality does.
+    EXPECT_EQ(InstrumentationPolicy::entryDigest("Amul", {Tier::Full, {64, 9}}),
+              InstrumentationPolicy::entryDigest("Amul", {Tier::Full, {}}));
+    EXPECT_NE(InstrumentationPolicy::entryDigest("Amul", {Tier::Full, {}}),
+              InstrumentationPolicy::entryDigest("Amul", {Tier::Sampled, {}}));
+}
+
+// The running digest a fleet client keeps: subtract the replaced entry's
+// term, add the new one. It must equal a from-scratch fingerprint() after
+// every edit of a random sequence of upserts, removals, Full<->Sampled flips
+// and regates.
+TEST(Policy, RunningDigestMatchesFingerprintUnderRandomEdits) {
+    capi::support::SplitMix64 rng(0x51DE'5EED);
+    std::vector<std::string> pool;
+    for (int i = 0; i < 40; ++i) {
+        pool.push_back("region_" + std::to_string(i));
+    }
+    InstrumentationPolicy policy;
+    std::uint64_t running = policy.fingerprint();
+    std::size_t promotions = 0;
+    std::size_t demotions = 0;
+    std::size_t regates = 0;
+    std::size_t removals = 0;
+    for (int step = 0; step < 4000; ++step) {
+        const std::string& name = pool[rng.nextBelow(pool.size())];
+        RegionPolicy next;
+        switch (rng.nextBelow(4)) {
+            case 0: next = {Tier::Off, {}}; break;
+            case 1: next = {Tier::Full, {}}; break;
+            default:
+                next = {Tier::Sampled,
+                        {static_cast<std::uint32_t>(1u << rng.nextBelow(7)),
+                         rng.nextBelow(2) * 500}};
+                break;
+        }
+        const RegionPolicy* before = policy.policyOf(name);
+        if (before != nullptr) {
+            promotions += before->tier == Tier::Sampled &&
+                          next.tier == Tier::Full;
+            demotions += before->tier == Tier::Full &&
+                         next.tier == Tier::Sampled;
+            regates += before->tier == Tier::Sampled &&
+                       next.tier == Tier::Sampled &&
+                       before->sampling != next.sampling;
+            removals += next.tier == Tier::Off;
+            running -= InstrumentationPolicy::entryDigest(name, *before);
+        }
+        policy.setRegion(name, next);
+        if (const RegionPolicy* after = policy.policyOf(name)) {
+            running += InstrumentationPolicy::entryDigest(name, *after);
+        }
+        ASSERT_EQ(running, policy.fingerprint()) << "step " << step;
+    }
+    EXPECT_GT(promotions, 0u);
+    EXPECT_GT(demotions, 0u);
+    EXPECT_GT(regates, 0u);
+    EXPECT_GT(removals, 0u);
 }
 
 }  // namespace
